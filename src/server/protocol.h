@@ -15,12 +15,19 @@
 // the connection: framing is lost, and resynchronizing inside a corrupt
 // byte stream is not worth the attack surface.
 //
-// Requests carry a session-scoped transaction id assigned by Begin{,Read}-
-// Txn. Responses are kReply (status byte + operation-specific payload)
-// except scans: ScanLinks answers with a pipelined sequence of kScanBatch
-// frames, each holding up to the server's batch budget of edges, the last
-// flagged kEndOfStream — the server never materializes the adjacency list,
-// and the client never holds more than one batch (EdgeCursor chunked mode).
+// Requests carry a transaction id the client picks, unique among the
+// connection's open sessions. A session opens lazily: its first request
+// carries a begin flag (kFlagBeginRead / kFlagBeginWrite) and the server
+// opens the engine session under that id before dispatching the request,
+// so a single-op read session costs one round trip plus the one-way
+// kEndRead. Explicit kBeginTxn / kBeginReadTxn frames remain for the
+// client's commit fence (docs/SERVER.md "Session model").
+//
+// Responses are kReply (status byte + operation-specific payload) except
+// scans: ScanLinks answers with a pipelined sequence of kScanBatch frames,
+// each holding up to the server's batch budget of edges, the last flagged
+// kEndOfStream — the server never materializes the adjacency list, and the
+// client never holds more than one batch (EdgeCursor chunked mode).
 #ifndef LIVEGRAPH_SERVER_PROTOCOL_H_
 #define LIVEGRAPH_SERVER_PROTOCOL_H_
 
@@ -36,8 +43,9 @@ namespace livegraph {
 /// Hello handshake. v2 added the replication frames (kSubscribe,
 /// kLogBatch, kSnapshotBatch, kFrontierAck) and epoch-gated reads
 /// (kBeginReadTxnAt) — docs/REPLICATION.md. v3 added kStats
-/// (docs/OBSERVABILITY.md).
-inline constexpr uint32_t kProtocolVersion = 3;
+/// (docs/OBSERVABILITY.md). v4 made txn ids client-chosen, sessions
+/// lazily opened by begin flags, and kEndRead one-way.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// "LGW1" — rejects non-protocol peers (and byte-shifted streams) before
 /// the CRC even runs.
@@ -49,13 +57,14 @@ inline constexpr uint32_t kFrameMagic = 0x3157474C;
 inline constexpr uint32_t kMaxFrameBody = 16u << 20;
 
 enum class MsgType : uint8_t {
-  // Requests. All carry `u64 txn_id` first unless noted.
+  // Requests. All carry `u64 txn_id` first unless noted; kCommit through
+  // kDeleteLink accept a begin flag.
   kHello = 1,         // u32 protocol_version (no txn id)
-  kBeginTxn = 2,      // (no txn id)
-  kBeginReadTxn = 3,  // (no txn id)
-  kCommit = 4,
+  kBeginTxn = 2,      // -> kReply{status}; opens a write session
+  kBeginReadTxn = 3,  // -> kReply{status}; opens a read session
+  kCommit = 4,        // -> kReply{status, i64 epoch}
   kAbort = 5,
-  kEndRead = 6,
+  kEndRead = 6,       // one-way: no reply, even for an unknown id
   kGetNode = 7,       // i64 id
   kGetLink = 8,       // i64 src, u16 label, i64 dst
   kScanLinks = 9,     // i64 src, u16 label, u64 limit
@@ -75,9 +84,9 @@ enum class MsgType : uint8_t {
   kSubscribe = 18,      // i64 from_epoch, u32 follower_shards (0 = fresh)
                         //   -> kReply{status; on kOk: u32 shards,
                         //      u8 snapshot_follows, i64 snapshot_epoch}
-  kBeginReadTxnAt = 19, // i64 min_epoch, u32 timeout_ms (no txn id)
-                        //   -> kReply{status, u64 txn_id}; kTimeout when
-                        //      the frontier does not cover min_epoch in time
+  kBeginReadTxnAt = 19, // u64 txn_id, i64 min_epoch, u32 timeout_ms
+                        //   -> kReply{status}; kTimeout when the
+                        //      frontier does not cover min_epoch in time
   kFrontierAck = 20,    // i64 epoch — follower->primary, no reply
 
   kStats = 21,          // (empty body, no txn id) -> kReply{status, bytes
@@ -99,6 +108,12 @@ enum FrameFlags : uint8_t {
   /// carry zero edges) and on a kReply that aborts a scan, so "read until
   /// kEndOfStream" is the complete client-side drain rule.
   kFlagEndOfStream = 1,
+  /// Request flags: open the session named by the request's txn id (as a
+  /// read or a write session) before running the request. An id that is
+  /// already open, both flags at once, or a flag on a request without a
+  /// txn id is a protocol violation that closes the connection.
+  kFlagBeginRead = 2,
+  kFlagBeginWrite = 4,
 };
 
 /// A decoded frame. `body` owns its bytes (copied out of the receive

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <utility>
 
@@ -10,6 +11,17 @@
 #include "server/wire.h"
 
 namespace livegraph {
+
+namespace {
+
+/// How long the commit fence waits for another session's begin to be
+/// answered before it aborts the committing transaction (kConflict). Far
+/// above a loopback round trip, far below the engine's 50 ms vertex-lock
+/// timeout: the begin may be queued behind a lock wait on a lock the
+/// committer holds, and that wait must end in time.
+constexpr int kFenceWaitMs = 5;
+
+}  // namespace
 
 // One client connection. All methods serialize on mu_: a connection is
 // normally owned by one session at a time, but a chunked scan cursor can
@@ -25,6 +37,14 @@ namespace livegraph {
 // interleaved access pays memory proportional to what it left unconsumed,
 // which is exactly what an embedded materialized cursor would have paid up
 // front.
+//
+// Lazy begin: a session that checks the connection out arms its begin
+// (ArmBegin) instead of sending it; the first request takes the armed flag
+// (kFlagBeginRead / kFlagBeginWrite) under mu_, so exactly one frame
+// carries it — that request, or the explicit begin of another session's
+// commit fence (Fence), whichever takes mu_ first. A fence that gives up
+// waiting leaves its begin's reply owed: the next read of the socket
+// consumes it first.
 class RemoteStore::Connection {
  public:
   static std::shared_ptr<Connection> Dial(const Options& options,
@@ -72,6 +92,9 @@ class RemoteStore::Connection {
   struct StreamState {
     std::deque<std::string> parked;  // unconsumed batch bodies
     bool live = false;
+    /// The scan carried its session's begin and no frame of it has been
+    /// read: the server may not have opened the session yet.
+    bool begin_unanswered = false;
   };
 
   bool healthy() const {
@@ -79,15 +102,106 @@ class RemoteStore::Connection {
     return !broken_;
   }
 
-  /// One request/reply exchange. Parks any live scan stream first so the
-  /// reply read below cannot swallow its batch frames.
+  /// Arms the begin of the session that just checked this connection out.
+  /// No I/O: the session's first request carries `flag`.
+  void ArmBegin(uint64_t txn_id, uint8_t flag) {
+    std::lock_guard<std::mutex> lock(mu_);
+    begin_id_ = txn_id;
+    begin_flag_ = flag;
+    fence_needed_.store(true, std::memory_order_release);
+  }
+
+  /// Disarms a begin that never left the client. True means the session
+  /// has nothing on the server and ends without a frame.
+  bool DisarmBegin() {
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool armed = TakeBeginLocked() != kFlagNone;
+    SyncFenceNeededLocked();
+    return armed;
+  }
+
+  /// Lock-free hint for the commit fence: the checked-out session's begin
+  /// may not have been answered yet. Never false while that is so.
+  bool fence_needed() const {
+    return fence_needed_.load(std::memory_order_acquire);
+  }
+
+  /// The commit fence, run by ANOTHER session of the store before it sends
+  /// a commit: the session on this connection must be open on the server
+  /// before that commit is, so the commit stays out of its snapshot. An
+  /// armed begin goes out as an explicit begin (`*sent_begin`); a begin
+  /// already sent without an answer yet — a first-request scan, or an
+  /// earlier fence's begin — is awaited. If the connection is held, its
+  /// owner is mid-request, so its begin has already left: the fence skips
+  /// it rather than wait on a request that may itself be waiting on the
+  /// committer's vertex locks. Fences of one connection queue on fence_mu_
+  /// instead of skipping each other.
+  ///
+  /// False if the answer did not come within `wait_ms`. The begin may be
+  /// queued behind an engine lock wait on the server — possibly for a lock
+  /// the committer holds, a cycle only the committer can break by
+  /// aborting. The answer stays owed to this connection's next reader.
+  bool Fence(int wait_ms, bool* sent_begin) {
+    std::lock_guard<std::mutex> fencing(fence_mu_);
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock() || broken_) return true;
+    if (const uint8_t begin = TakeBeginLocked(); begin != kFlagNone) {
+      ParkActiveStreamLocked();  // a previous session's abandoned stream
+      std::string body;
+      WireWriter(&body).PutU64(begin_id_);
+      if (!broken_ &&
+          !socket_.WriteFrame(begin == kFlagBeginWrite
+                                  ? MsgType::kBeginTxn
+                                  : MsgType::kBeginReadTxn,
+                              kFlagNone, body, &send_scratch_)) {
+        MarkBrokenLocked();
+      }
+      owed_begin_reply_ = !broken_;
+      *sent_begin = true;
+    }
+    // One frame answers a begin: the owed reply, or the scan's first batch
+    // (parked for its cursor).
+    bool answered = true;
+    while (!broken_ && (owed_begin_reply_ || (active_ != nullptr &&
+                                              active_->begin_unanswered))) {
+      if (!socket_.Readable(wait_ms)) {
+        answered = false;
+        break;
+      }
+      if (owed_begin_reply_) {
+        ReadOwedReplyLocked();
+      } else {
+        ParkFrameLocked(/*abandoned=*/false);
+      }
+    }
+    SyncFenceNeededLocked();
+    return answered;
+  }
+
+  /// One request/reply exchange; the session's first request carries its
+  /// armed begin.
   bool Call(MsgType type, std::string_view body, Frame* reply) {
     std::lock_guard<std::mutex> lock(mu_);
     if (broken_) return false;
+    const uint8_t begin = TakeBeginLocked();
+    // Park any live scan stream first so the reply read below cannot
+    // swallow its batch frames.
     ParkActiveStreamLocked();
     if (broken_) return false;
-    if (!socket_.WriteFrame(type, kFlagNone, body, &send_scratch_) ||
-        !socket_.ReadFrame(reply) || reply->type != MsgType::kReply) {
+    if (!socket_.WriteFrame(type, begin, body, &send_scratch_) ||
+        !ReadFrameLocked(reply) || reply->type != MsgType::kReply) {
+      MarkBrokenLocked();
+      return false;
+    }
+    SyncFenceNeededLocked();
+    return true;
+  }
+
+  /// One-way request (kEndRead): nothing is read back.
+  bool Send(MsgType type, std::string_view body) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (broken_) return false;
+    if (!socket_.WriteFrame(type, kFlagNone, body, &send_scratch_)) {
       MarkBrokenLocked();
       return false;
     }
@@ -104,18 +218,33 @@ class RemoteStore::Connection {
     if (broken_) return false;
     ParkActiveStreamLocked();
     if (broken_) return false;
+    if (const uint8_t begin = TakeBeginLocked(); begin != kFlagNone) {
+      // Re-frame the session's first request with its begin flag.
+      char header[kFrameHeaderSize];
+      std::memcpy(header, encoded.data(), kFrameHeaderSize);
+      MsgType type = MsgType::kReply;
+      uint8_t flags = kFlagNone;
+      uint32_t body_size = 0;
+      DecodeFrameHeader(header, &type, &flags, &body_size);  // encoded here
+      send_scratch_.clear();
+      EncodeFrame(type, begin, encoded.substr(kFrameHeaderSize, body_size),
+                  &send_scratch_);
+      send_scratch_.append(encoded.substr(kFrameHeaderSize + body_size));
+      encoded = send_scratch_;
+    }
     if (!socket_.WriteFull(encoded.data(), encoded.size())) {
       MarkBrokenLocked();
       return false;
     }
     for (size_t i = 0; i < count; ++i) {
       Frame frame;
-      if (!socket_.ReadFrame(&frame) || frame.type != MsgType::kReply) {
+      if (!ReadFrameLocked(&frame) || frame.type != MsgType::kReply) {
         MarkBrokenLocked();
         return false;
       }
       replies->push_back(std::move(frame));
     }
+    SyncFenceNeededLocked();
     return true;
   }
 
@@ -126,13 +255,16 @@ class RemoteStore::Connection {
     if (broken_) return nullptr;
     ParkActiveStreamLocked();
     if (broken_) return nullptr;
-    if (!socket_.WriteFrame(MsgType::kScanLinks, kFlagNone, body,
+    const uint8_t begin = TakeBeginLocked();
+    if (!socket_.WriteFrame(MsgType::kScanLinks, begin, body,
                             &send_scratch_)) {
       MarkBrokenLocked();
       return nullptr;
     }
     active_ = std::make_shared<StreamState>();
     active_->live = true;
+    active_->begin_unanswered = begin != kFlagNone;
+    SyncFenceNeededLocked();
     return active_;
   }
 
@@ -157,9 +289,13 @@ class RemoteStore::Connection {
       }
       if (!stream.live || broken_) return false;
       Frame frame;
-      if (!socket_.ReadFrame(&frame)) {
+      if (!ReadFrameLocked(&frame)) {
         MarkBrokenLocked();
         return false;
+      }
+      if (stream.begin_unanswered) {
+        stream.begin_unanswered = false;
+        SyncFenceNeededLocked();
       }
       bool end = (frame.flags & kFlagEndOfStream) != 0;
       if (end) {
@@ -181,8 +317,49 @@ class RemoteStore::Connection {
   }
 
  private:
+  /// The armed begin flag, disarmed: the caller's frame carries it (or,
+  /// for DisarmBegin, nothing does).
+  uint8_t TakeBeginLocked() {
+    const uint8_t flag = begin_flag_;
+    begin_flag_ = kFlagNone;
+    return flag;
+  }
+
+  void SyncFenceNeededLocked() {
+    fence_needed_.store(
+        begin_flag_ != kFlagNone || owed_begin_reply_ ||
+            (active_ != nullptr && active_->begin_unanswered),
+        std::memory_order_release);
+  }
+
+  /// Consumes the reply owed to a fence's explicit begin, if any. It is
+  /// the next frame on the socket: the fence parks any live stream before
+  /// sending the begin.
+  bool ReadOwedReplyLocked() {
+    if (!owed_begin_reply_) return true;
+    Frame reply;
+    if (!socket_.ReadFrame(&reply) || reply.type != MsgType::kReply) {
+      MarkBrokenLocked();
+      return false;
+    }
+    owed_begin_reply_ = false;
+    return true;
+  }
+
+  /// Every read of the socket goes through here, so an owed begin reply
+  /// never reaches a caller awaiting something else.
+  bool ReadFrameLocked(Frame* frame) {
+    if (!ReadOwedReplyLocked()) return false;
+    if (!socket_.ReadFrame(frame)) {
+      MarkBrokenLocked();
+      return false;
+    }
+    return true;
+  }
+
   void MarkBrokenLocked() {
     broken_ = true;
+    owed_begin_reply_ = false;
     if (active_ != nullptr) {
       active_->live = false;
       active_.reset();
@@ -197,24 +374,29 @@ class RemoteStore::Connection {
     // If no cursor holds the stream anymore (early-exit scan whose cursor
     // is gone), the frames can be discarded instead of buffered.
     bool abandoned = active_ != nullptr && active_.use_count() == 1;
-    while (active_ != nullptr && active_->live) {
-      Frame frame;
-      if (!socket_.ReadFrame(&frame)) {
-        MarkBrokenLocked();
-        return;
-      }
-      bool end = (frame.flags & kFlagEndOfStream) != 0;
-      if (frame.type == MsgType::kScanBatch) {
-        if (!abandoned) active_->parked.push_back(std::move(frame.body));
-      } else if (!end) {
-        MarkBrokenLocked();  // protocol violation
-        return;
-      }
-      if (end) {
-        active_->live = false;
-        active_.reset();
-      }
+    while (active_ != nullptr && active_->live &&
+           ParkFrameLocked(abandoned)) {
     }
+  }
+
+  /// Moves one frame of the live stream into its parked buffer. False
+  /// once the connection broke.
+  bool ParkFrameLocked(bool abandoned) {
+    Frame frame;
+    if (!ReadFrameLocked(&frame)) return false;
+    active_->begin_unanswered = false;
+    bool end = (frame.flags & kFlagEndOfStream) != 0;
+    if (frame.type == MsgType::kScanBatch) {
+      if (!abandoned) active_->parked.push_back(std::move(frame.body));
+    } else if (!end) {
+      MarkBrokenLocked();  // protocol violation
+      return false;
+    }
+    if (end) {
+      active_->live = false;
+      active_.reset();
+    }
+    return true;
   }
 
   static bool ParseBatch(std::string_view body,
@@ -246,6 +428,13 @@ class RemoteStore::Connection {
   bool broken_ = false;
   std::shared_ptr<StreamState> active_;  // stream with frames on the socket
   std::string send_scratch_;
+  // The checked-out session's begin while it has not left the client, and
+  // a fence's explicit begin whose reply has not been read.
+  uint64_t begin_id_ = 0;
+  uint8_t begin_flag_ = kFlagNone;
+  bool owed_begin_reply_ = false;
+  std::atomic<bool> fence_needed_{false};
+  std::mutex fence_mu_;  // serializes Fence() calls; owners never take it
 };
 
 namespace {
@@ -273,10 +462,10 @@ class RemoteBatchSource : public EdgeCursor::BatchSource {
 
 }  // namespace
 
-// A remote session: one checked-out connection plus the server-side txn
-// id. Serves as both StoreTxn and StoreReadTxn; mutations on a read-only
-// session fail client-side with kNotActive (matching what the server
-// would answer).
+// A remote session: one checked-out connection plus the client-chosen txn
+// id, its begin armed on the connection until the first request. Serves
+// as both StoreTxn and StoreReadTxn; mutations on a read-only session fail
+// client-side with kNotActive (matching what the server would answer).
 class RemoteTxn : public StoreTxn {
  public:
   RemoteTxn(RemoteStore* store,
@@ -434,6 +623,10 @@ class RemoteTxn : public StoreTxn {
     if (!writable_) return Status::kNotActive;
     Status guard = Guard();
     if (guard != Status::kOk) return guard;
+    if (!store_->FenceSessions(connection_.get())) {
+      Abort();
+      return Status::kConflict;  // RunWrite retries, as after any conflict
+    }
     Frame reply;
     Status status = CallWithTxn(MsgType::kCommit, {}, &reply);
     open_ = false;
@@ -450,9 +643,18 @@ class RemoteTxn : public StoreTxn {
 
   void Abort() override {
     if (!open_) return;
-    Frame reply;
-    CallWithTxn(writable_ ? MsgType::kAbort : MsgType::kEndRead, {}, &reply);
     open_ = false;
+    // A session whose begin never left the client has nothing to end.
+    if (!connection_->DisarmBegin()) {
+      if (writable_) {
+        Frame reply;
+        CallWithTxn(MsgType::kAbort, {}, &reply);
+      } else {
+        std::string body;
+        WireWriter(&body).PutU64(txn_id_);
+        connection_->Send(MsgType::kEndRead, body);
+      }
+    }
     Release();
   }
 
@@ -674,6 +876,10 @@ bool RemoteStore::Pipeline::Flush(std::vector<Status>* statuses) {
 StatusOr<timestamp_t> RemoteStore::Pipeline::Commit() {
   if (!open_) return Status::kUnavailable;
   if (!Flush(nullptr)) return Status::kUnavailable;
+  if (!store_->FenceSessions(connection_.get())) {
+    Abort();
+    return Status::kConflict;
+  }
   std::string body;
   WireWriter writer(&body);
   writer.PutU64(txn_id_);
@@ -697,11 +903,13 @@ void RemoteStore::Pipeline::Abort() {
   if (!open_) return;
   batch_.clear();
   ends_.clear();
-  std::string body;
-  WireWriter writer(&body);
-  writer.PutU64(txn_id_);
-  Frame reply;
-  connection_->Call(MsgType::kAbort, body, &reply);
+  if (!connection_->DisarmBegin()) {
+    std::string body;
+    WireWriter writer(&body);
+    writer.PutU64(txn_id_);
+    Frame reply;
+    connection_->Call(MsgType::kAbort, body, &reply);
+  }
   open_ = false;
   Release();
 }
@@ -716,20 +924,8 @@ void RemoteStore::Pipeline::Release() {
 std::unique_ptr<RemoteStore::Pipeline> RemoteStore::NewPipeline() {
   std::shared_ptr<Connection> connection =
       AcquireConnection(/*replica=*/false);
-  uint64_t txn_id = 0;
-  if (connection != nullptr) {
-    Frame reply;
-    if (connection->Call(MsgType::kBeginTxn, {}, &reply)) {
-      WireReader reader(reply.body);
-      uint8_t status;
-      if (!reader.GetU8(&status) || StatusFromWire(status) != Status::kOk ||
-          !reader.GetU64(&txn_id)) {
-        connection = nullptr;
-      }
-    } else {
-      connection = nullptr;
-    }
-  }
+  const uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  if (connection != nullptr) connection->ArmBegin(txn_id, kFlagBeginWrite);
   return std::unique_ptr<Pipeline>(
       new Pipeline(this, std::move(connection), txn_id));
 }
@@ -757,7 +953,10 @@ std::shared_ptr<RemoteStore::Connection> RemoteStore::AcquireConnection(
     while (!pool.empty()) {
       std::shared_ptr<Connection> connection = std::move(pool.back());
       pool.pop_back();
-      if (connection->healthy()) return connection;
+      if (connection->healthy()) {
+        checked_out_.push_back(connection);
+        return connection;
+      }
     }
   }
   Options dial = options_;
@@ -765,14 +964,58 @@ std::shared_ptr<RemoteStore::Connection> RemoteStore::AcquireConnection(
     dial.host = options_.replica_host;
     dial.port = options_.replica_port;
   }
-  return Connection::Dial(dial, nullptr, nullptr);
+  std::shared_ptr<Connection> connection =
+      Connection::Dial(dial, nullptr, nullptr);
+  if (connection != nullptr) {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    checked_out_.push_back(connection);
+  }
+  return connection;
 }
 
 void RemoteStore::ReleaseConnection(std::shared_ptr<Connection> connection,
                                     bool replica) {
-  if (connection == nullptr || !connection->healthy()) return;
+  if (connection == nullptr) return;
+  const bool healthy = connection->healthy();
   std::lock_guard<std::mutex> lock(pool_mu_);
-  (replica ? replica_pool_ : pool_).push_back(std::move(connection));
+  auto it = std::find(checked_out_.begin(), checked_out_.end(), connection);
+  if (it != checked_out_.end()) {
+    *it = std::move(checked_out_.back());
+    checked_out_.pop_back();
+  }
+  if (healthy) {
+    (replica ? replica_pool_ : pool_).push_back(std::move(connection));
+  }
+}
+
+// The commit fence (docs/SERVER.md "Session model"). Only sessions whose
+// begin may not have been answered need work, and the hint filters out
+// the rest under pool_mu_; the fencing itself runs outside it. A begin
+// left unanswered past kFenceWaitMs fails the fence: the committer then
+// aborts instead of committing, which releases any lock the begin's event
+// loop may be waiting on, and the commit never overtakes the begin.
+bool RemoteStore::FenceSessions(const Connection* committer) {
+  if (!traits_.snapshot_reads) return true;  // no snapshot to keep
+  std::vector<std::shared_ptr<Connection>> pending;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    for (const std::shared_ptr<Connection>& connection : checked_out_) {
+      if (connection.get() != committer && connection->fence_needed()) {
+        pending.push_back(connection);
+      }
+    }
+  }
+  for (const std::shared_ptr<Connection>& connection : pending) {
+    bool sent_begin = false;
+    const bool answered =
+        connection->Fence(kFenceWaitMs, &sent_begin);
+    if (sent_begin) fenced_begins_.fetch_add(1, std::memory_order_relaxed);
+    if (!answered) {
+      fence_aborts_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+  }
+  return true;
 }
 
 void RemoteStore::NoteCommitEpoch(timestamp_t epoch) {
@@ -813,20 +1056,21 @@ std::unique_ptr<StoreTxn> RemoteStore::BeginReplicaReadSession() {
     NoteReplicaFailure();
     return nullptr;
   }
+  const uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   std::string body;
   WireWriter writer(&body);
+  writer.PutU64(txn_id);
   writer.PutI64(last_commit_epoch_.load(std::memory_order_relaxed));
   writer.PutU32(options_.read_your_epoch_timeout_ms);
   Frame reply;
-  uint64_t txn_id = 0;
   uint8_t status = 0;
   if (!connection->Call(MsgType::kBeginReadTxnAt, body, &reply)) {
+    ReleaseConnection(std::move(connection), /*replica=*/true);
     NoteReplicaFailure();
     return nullptr;
   }
   WireReader reader(reply.body);
-  if (!reader.GetU8(&status) || StatusFromWire(status) != Status::kOk ||
-      !reader.GetU64(&txn_id)) {
+  if (!reader.GetU8(&status) || StatusFromWire(status) != Status::kOk) {
     // The follower answered but cannot serve the epoch (or rejected the
     // request): return its healthy connection and fail over this session.
     ReleaseConnection(std::move(connection), /*replica=*/true);
@@ -864,26 +1108,14 @@ bool RemoteStore::Stats(metrics::Snapshot* out) {
   return DecodeStats(payload, out);
 }
 
+// No I/O: the session's first request opens it on the server.
 std::unique_ptr<StoreTxn> RemoteStore::BeginSession(bool writable) {
   std::shared_ptr<Connection> connection =
       AcquireConnection(/*replica=*/false);
-  uint64_t txn_id = 0;
+  const uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   if (connection != nullptr) {
-    Frame reply;
-    std::string empty;
-    if (connection->Call(
-            writable ? MsgType::kBeginTxn : MsgType::kBeginReadTxn, empty,
-            &reply)) {
-      WireReader reader(reply.body);
-      uint8_t status;
-      if (!reader.GetU8(&status) ||
-          StatusFromWire(status) != Status::kOk ||
-          !reader.GetU64(&txn_id)) {
-        connection = nullptr;
-      }
-    } else {
-      connection = nullptr;
-    }
+    connection->ArmBegin(txn_id,
+                         writable ? kFlagBeginWrite : kFlagBeginRead);
   }
   // A null connection yields a dead session: every operation reports
   // kUnavailable, which RunWrite surfaces without retrying.

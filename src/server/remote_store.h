@@ -7,11 +7,25 @@
 // (BeginTxn / BeginReadTxn) checks a connection out of the pool for its
 // lifetime — requests within a session are strictly ordered, which is what
 // gives remote sessions the same semantics as local ones — and returns it
-// on Commit/Abort/EndRead. Scans arrive as the server's pipelined batch
-// stream; the cursor handed to the caller is EdgeCursor in chunked mode,
-// pulling one batch at a time, so neither side ever materializes a long
-// adjacency list. Interleaved access — a nested scan or point read issued
-// while a cursor is mid-stream, as SNB traversals do — parks the live
+// on Commit/Abort/EndRead.
+//
+// Sessions open lazily (protocol v4, docs/SERVER.md "Session model"):
+// Begin*Txn picks the txn id and sends nothing; the session's first
+// request carries a begin flag and opens it on the server, and a read
+// session ends with a one-way kEndRead — a single-op read costs one round
+// trip plus one send. A session that sends no request sends nothing at
+// all. The snapshot is therefore taken at the first request, with one
+// guarantee kept: before any session of this store sends a commit, the
+// commit fence opens every other session of the store whose begin has not
+// yet reached the server, so a commit made after Begin*Txn returned never
+// enters that session's snapshot. Replica read sessions (below) keep their
+// begin round trip.
+//
+// Scans arrive as the server's pipelined batch stream; the cursor handed
+// to the caller is EdgeCursor in chunked mode, pulling one batch at a
+// time, so neither side ever materializes a long adjacency list.
+// Interleaved access — a nested scan or point read issued while a cursor
+// is mid-stream, as SNB traversals do — parks the live
 // stream's remaining frames into a client-side buffer so the outer cursor
 // keeps its position; an abandoned stream (LIMIT-style early exit, cursor
 // destroyed) is drained and discarded before the connection carries the
@@ -151,8 +165,9 @@ class RemoteStore : public Store {
     std::vector<size_t> ends_;   // cumulative end offset of each frame
   };
 
-  /// Opens a pipeline (one round trip for its BeginTxn). Never null; a
-  /// failed open yields a pipeline whose ok() is false.
+  /// Opens a pipeline; no I/O — the first flushed request opens the
+  /// server-side session. Never null; a pipeline that could not get a
+  /// connection has ok() false.
   std::unique_ptr<Pipeline> NewPipeline();
 
   /// Fetches the server's metrics snapshot via the STATS opcode
@@ -173,6 +188,16 @@ class RemoteStore : public Store {
   timestamp_t last_commit_epoch() const {
     return last_commit_epoch_.load(std::memory_order_relaxed);
   }
+  /// Explicit begins the commit fence sent for sessions whose first
+  /// request had not left yet (observability, tests).
+  uint64_t fenced_begins() const {
+    return fenced_begins_.load(std::memory_order_relaxed);
+  }
+  /// Commits the fence turned into kConflict aborts because a begin
+  /// stayed unanswered past kFenceWaitMs (remote_store.cc).
+  uint64_t fence_aborts() const {
+    return fence_aborts_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class RemoteTxn;
@@ -185,6 +210,9 @@ class RemoteStore : public Store {
   std::unique_ptr<StoreTxn> BeginSession(bool writable);
   /// Follower-first read session; null means "use the primary".
   std::unique_ptr<StoreTxn> BeginReplicaReadSession();
+  /// The commit fence, run before a commit on `committer` is sent. False
+  /// means the commit must not be sent: abort and report kConflict.
+  bool FenceSessions(const Connection* committer);
   void NoteCommitEpoch(timestamp_t epoch);
   /// True while the follower is in its post-failover penalty box.
   bool ReplicaBackedOff();
@@ -196,10 +224,16 @@ class RemoteStore : public Store {
 
   std::atomic<timestamp_t> last_commit_epoch_{0};
   std::atomic<uint64_t> read_failovers_{0};
+  std::atomic<uint64_t> fenced_begins_{0};
+  std::atomic<uint64_t> fence_aborts_{0};
+  /// Client-chosen txn ids: unique across the store, hence per connection.
+  std::atomic<uint64_t> next_txn_id_{1};
 
   mutable std::mutex pool_mu_;
   std::vector<std::shared_ptr<Connection>> pool_;
   std::vector<std::shared_ptr<Connection>> replica_pool_;
+  /// Connections owned by a session (or a Stats call): the fence's scope.
+  std::vector<std::shared_ptr<Connection>> checked_out_;
   std::chrono::steady_clock::time_point replica_retry_at_{};
   int64_t replica_backoff_ms_ = 0;
 };

@@ -96,10 +96,29 @@ metrics::Gauge& OpenTxnsGauge() {
   return gauge;
 }
 
+/// Engine sessions opened, by kind — however they opened: a begin flag,
+/// an explicit begin, or an epoch-gated read.
+metrics::Counter& SessionsOpened(bool write) {
+  static metrics::Counter& reads = metrics::Registry::Instance().GetCounter(
+      "livegraph_server_sessions_opened_total{kind=\"read\"}");
+  static metrics::Counter& writes = metrics::Registry::Instance().GetCounter(
+      "livegraph_server_sessions_opened_total{kind=\"write\"}");
+  return write ? writes : reads;
+}
+
+/// The requests whose body leads with the txn id of an open session —
+/// the ones a begin flag may ride on.
+bool AcceptsBeginFlag(MsgType type) {
+  return type >= MsgType::kCommit && type <= MsgType::kDeleteLink;
+}
+
 }  // namespace
 
 ServerSession::ServerSession(const Config& config) : config_(config) {
-  OpenTxnsGauge();  // eager registration: present (at 0) from first scrape
+  // Eager registration: present (at 0) from first scrape.
+  OpenTxnsGauge();
+  SessionsOpened(/*write=*/false);
+  SessionsOpened(/*write=*/true);
 }
 
 ServerSession::~ServerSession() {
@@ -123,16 +142,43 @@ ServerSession::~ServerSession() {
 ServerSession::Outcome ServerSession::Handle(const Frame& request,
                                              Sink* sink) {
   const OpMetrics* op = OpMetricsFor(request.type);
-  if (op == nullptr) return DispatchInner(request, sink);
-  const uint64_t start = metrics::MonotonicNanos();
-  Outcome outcome = DispatchInner(request, sink);
+  const uint64_t start = op != nullptr ? metrics::MonotonicNanos() : 0;
+  Outcome outcome = OpenFlaggedSession(request)
+                        ? DispatchInner(request, sink)
+                        : Outcome::kClose;
   // Paused scans and offloaded commits/waits/mutations record when they
   // complete (ResumeScan / FinishCommit / FinishEpochWait /
   // FinishMutation).
-  if (outcome == Outcome::kDone || outcome == Outcome::kClose) {
+  if (op != nullptr &&
+      (outcome == Outcome::kDone || outcome == Outcome::kClose)) {
     RecordOp(op, start);
   }
   return outcome;
+}
+
+bool ServerSession::OpenFlaggedSession(const Frame& request) {
+  const uint8_t begin = request.flags & (kFlagBeginRead | kFlagBeginWrite);
+  if (begin == 0) return true;
+  if (begin != kFlagBeginRead && begin != kFlagBeginWrite) return false;
+  if (!AcceptsBeginFlag(request.type)) return false;
+  WireReader reader(request.body);
+  uint64_t id;
+  if (!reader.GetU64(&id)) return false;
+  return OpenSession(id, begin == kFlagBeginWrite);
+}
+
+bool ServerSession::OpenSession(uint64_t id, bool write) {
+  auto [it, inserted] = txns_.try_emplace(id);
+  if (!inserted) return false;
+  OpenTxnsGauge().Add(1);
+  SessionsOpened(write).Add();
+  if (write) {
+    it->second.write = config_.store->BeginTxn();
+    ++open_writes_;
+  } else {
+    it->second.read = config_.store->BeginReadTxn();
+  }
+  return true;
 }
 
 ServerSession::Outcome ServerSession::DispatchInner(const Frame& request,
@@ -221,21 +267,16 @@ ServerSession::Outcome ServerSession::HandleHello(WireReader& reader,
 
 // --- Session lifecycle -----------------------------------------------------
 
+// The explicit begin: the client's commit fence opens a session whose
+// first request has not been sent, so the session's snapshot precedes the
+// commit that follows.
 ServerSession::Outcome ServerSession::HandleBegin(WireReader& reader,
                                                   Sink* sink, bool write) {
-  if (!reader.Exhausted()) return Outcome::kClose;
-  uint64_t id = next_txn_id_++;
-  OpenTxn& slot = txns_[id];
-  OpenTxnsGauge().Add(1);
-  if (write) {
-    slot.write = config_.store->BeginTxn();
-    ++open_writes_;
-  } else {
-    slot.read = config_.store->BeginReadTxn();
+  uint64_t id;
+  if (!reader.GetU64(&id) || !reader.Exhausted() || !OpenSession(id, write)) {
+    return Outcome::kClose;
   }
-  WireWriter writer = BeginReply(Status::kOk);
-  writer.PutU64(id);
-  return SendReply(sink) ? Outcome::kDone : Outcome::kClose;
+  return ReplyStatus(sink, Status::kOk);
 }
 
 ServerSession::Outcome ServerSession::HandleCommit(WireReader& reader,
@@ -306,17 +347,18 @@ ServerSession::Outcome ServerSession::HandleAbort(WireReader& reader,
   return ReplyStatus(sink, Status::kOk);
 }
 
+// One-way: the client does not wait, so there is no reply to send — not
+// even for an id that names no open read session.
 ServerSession::Outcome ServerSession::HandleEndRead(WireReader& reader,
-                                                    Sink* sink) {
+                                                    Sink* /*sink*/) {
   uint64_t id;
   if (!reader.GetU64(&id) || !reader.Exhausted()) return Outcome::kClose;
   auto it = txns_.find(id);
-  if (it == txns_.end() || it->second.read == nullptr) {
-    return ReplyStatus(sink, Status::kNotActive);
+  if (it != txns_.end() && it->second.read != nullptr) {
+    txns_.erase(it);  // releases the engine read session (latch, snapshot)
+    OpenTxnsGauge().Sub(1);
   }
-  txns_.erase(it);  // releases the engine read session (latch, snapshot)
-  OpenTxnsGauge().Sub(1);
-  return ReplyStatus(sink, Status::kOk);
+  return Outcome::kDone;
 }
 
 // --- Reads -----------------------------------------------------------------
@@ -495,16 +537,19 @@ ServerSession::Outcome ServerSession::PumpScan(Sink* sink) {
 // by FinishEpochWait().
 ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
     WireReader& reader, Sink* sink) {
+  uint64_t id;
   int64_t min_epoch;
   uint32_t timeout_ms;
-  if (!reader.GetI64(&min_epoch) || !reader.GetU32(&timeout_ms) ||
-      !reader.Exhausted()) {
+  if (!reader.GetU64(&id) || !reader.GetI64(&min_epoch) ||
+      !reader.GetU32(&timeout_ms) || !reader.Exhausted() ||
+      txns_.count(id) != 0) {
     return Outcome::kClose;
   }
   EpochFrontier* frontier = config_.frontier;
   if (min_epoch > 0) {
     if (frontier == nullptr) return ReplyStatus(sink, Status::kUnavailable);
     if (config_.offload) {
+      pending_wait_.txn_id = id;
       pending_wait_.min_epoch = min_epoch;
       pending_wait_.timeout_ms = timeout_ms;
       pending_wait_.start_nanos = metrics::MonotonicNanos();
@@ -515,29 +560,19 @@ ServerSession::Outcome ServerSession::HandleBeginReadTxnAt(
       return ReplyStatus(sink, Status::kTimeout);
     }
   }
-  uint64_t id = next_txn_id_++;
-  txns_[id].read = config_.store->BeginReadTxn();
-  OpenTxnsGauge().Add(1);
-  WireWriter writer = BeginReply(Status::kOk);
-  writer.PutU64(id);
-  return SendReply(sink) ? Outcome::kDone : Outcome::kClose;
+  OpenSession(id, /*write=*/false);
+  return ReplyStatus(sink, Status::kOk);
 }
 
 ServerSession::Outcome ServerSession::FinishEpochWait(bool covered,
                                                       Sink* sink) {
   const uint64_t start = pending_wait_.start_nanos;
+  const uint64_t id = pending_wait_.txn_id;
   pending_wait_ = PendingWait{};
-  Outcome outcome;
-  if (!covered) {
-    outcome = ReplyStatus(sink, Status::kTimeout);
-  } else {
-    uint64_t id = next_txn_id_++;
-    txns_[id].read = config_.store->BeginReadTxn();
-    OpenTxnsGauge().Add(1);
-    WireWriter writer = BeginReply(Status::kOk);
-    writer.PutU64(id);
-    outcome = SendReply(sink) ? Outcome::kDone : Outcome::kClose;
-  }
+  // No frame ran while the wait was out, so the id is still free.
+  if (covered) OpenSession(id, /*write=*/false);
+  Outcome outcome =
+      ReplyStatus(sink, covered ? Status::kOk : Status::kTimeout);
   RecordOp(OpMetricsFor(MsgType::kBeginReadTxnAt), start);
   return outcome;
 }

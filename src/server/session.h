@@ -32,6 +32,10 @@
 // frames on the connection — replies are strictly in request order, which
 // is what makes client-side pipelining safe.
 //
+// Sessions open lazily (protocol v4): the client picks each txn id, and a
+// request carrying a begin flag opens the engine session under that id
+// before it runs. kEndRead is one-way: Handle() queues nothing for it.
+//
 // kSubscribe is answered with Outcome::kSubscribe without touching the
 // frame: replication push streams are long-lived write-mostly loops that
 // belong on a dedicated blocking thread, so the transport hands the socket
@@ -122,6 +126,7 @@ class ServerSession {
   // --- Async epoch wait (Outcome::kWaitAsync) ---
 
   struct PendingWait {
+    uint64_t txn_id = 0;
     int64_t min_epoch = 0;
     uint32_t timeout_ms = 0;
     uint64_t start_nanos = 0;
@@ -200,6 +205,11 @@ class ServerSession {
   };
 
   Outcome DispatchInner(const Frame& request, Sink* sink);
+  /// Opens the session a begin-flagged request names. False is a protocol
+  /// violation (see kFlagBeginRead).
+  bool OpenFlaggedSession(const Frame& request);
+  /// Opens an engine session under the client's id; false if it is taken.
+  bool OpenSession(uint64_t id, bool write);
 
   // Reply plumbing: start a body with its status byte, append payload
   // through the returned writer, then SendReply().
@@ -240,7 +250,6 @@ class ServerSession {
 
   Config config_;
 
-  uint64_t next_txn_id_ = 1;
   std::map<uint64_t, OpenTxn> txns_;
   size_t open_writes_ = 0;
   bool offload_mutations_ = true;

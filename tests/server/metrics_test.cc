@@ -306,7 +306,13 @@ TEST_F(MetricsServerTest, CountersMoveUnderKnownOpSequence) {
   auto delta = [&](const char* name) {
     return after.counter(name) - before.counter(name);
   };
-  EXPECT_EQ(delta("livegraph_server_requests_total{op=\"BEGIN_TXN\"}"), 3u);
+  // Protocol v4: sessions open from the first request's begin flag, so
+  // no explicit begin goes out; the session counter sees every open.
+  EXPECT_EQ(delta("livegraph_server_requests_total{op=\"BEGIN_TXN\"}"), 0u);
+  EXPECT_EQ(delta("livegraph_server_sessions_opened_total{kind=\"write\"}"),
+            3u);
+  EXPECT_EQ(delta("livegraph_server_sessions_opened_total{kind=\"read\"}"),
+            2u);
   EXPECT_EQ(delta("livegraph_server_requests_total{op=\"ADD_NODE\"}"), 3u);
   EXPECT_EQ(delta("livegraph_server_requests_total{op=\"ADD_LINK\"}"), 3u);
   EXPECT_EQ(delta("livegraph_server_requests_total{op=\"COMMIT\"}"), 3u);

@@ -96,17 +96,16 @@ TEST(Reactor, PipelinesBufferedFramesInOneWrite) {
   ASSERT_GE(harness.server->resolved_reactors(), 1);
   Socket sock = RawHello(harness.server->port());
 
-  // BeginTxn now, so the batch below can reference the txn id.
+  // Explicit begin under a client-chosen id: a status-only reply.
+  constexpr uint64_t txn_id = 7;
   std::string scratch;
-  ASSERT_TRUE(sock.WriteFrame(MsgType::kBeginTxn, kFlagNone, "", &scratch));
+  std::string begin;
+  WireWriter(&begin).PutU64(txn_id);
+  ASSERT_TRUE(sock.WriteFrame(MsgType::kBeginTxn, kFlagNone, begin, &scratch));
   Frame reply;
   ASSERT_TRUE(sock.ReadFrame(&reply));
   ASSERT_EQ(ReplyStatus(reply), Status::kOk);
-  WireReader begin_reader(reply.body);
-  uint8_t status_byte = 0;
-  uint64_t txn_id = 0;
-  ASSERT_TRUE(begin_reader.GetU8(&status_byte));
-  ASSERT_TRUE(begin_reader.GetU64(&txn_id));
+  EXPECT_EQ(reply.body.size(), 1u);
 
   // One buffer: 16 AddNode frames plus the Commit, a single send.
   constexpr int kOps = 16;
@@ -271,6 +270,58 @@ TEST(Reactor, ContendedWritesOnOneLoopDoNotTimeout) {
   t1.join();
   t2.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The commit fence's one wait, bounded. Two loops; connections land
+// round-robin, so the client's first connection (L0) holds a write lock,
+// its second (L1) carries an unsent read session, and a raw writer on L1
+// blocks that loop inline on the same lock — no other connection on L1
+// holds a write, so the reactor runs the wait on the loop. The fence's
+// explicit begin for the read session queues behind that wait; waiting for
+// it would hold the lock until the engine's 50 ms timeout failed the raw
+// writer. Instead the fence gives up after its 5 ms bound and the committer
+// aborts (kConflict), which lets both the writer and the begin through.
+TEST(Reactor, FenceStalledBehindItsOwnLockAbortsTheCommitter) {
+  GraphServer::Options options;
+  options.reactors = 2;
+  Harness harness(options);
+  ASSERT_EQ(harness.server->resolved_reactors(), 2);
+  vertex_t v = harness.client->AddNode("v");
+
+  auto writer = harness.client->BeginTxn();  // pooled connection: L0
+  ASSERT_TRUE(writer->AddLink(v, 0, v, "held").ok());
+  auto reader = harness.client->BeginReadTxn();  // dials: L1, sends nothing
+  Socket spacer = RawHello(harness.server->port());  // L0
+  Socket blocked = RawHello(harness.server->port());  // L1
+  std::string body;
+  WireWriter update(&body);
+  update.PutU64(1);
+  update.PutI64(v);
+  update.PutBytes("raw");
+  metrics::Gauge& open_txns =
+      metrics::Registry::Instance().GetGauge("livegraph_server_open_txns");
+  const int64_t open_before = open_txns.Value();
+  std::string scratch;
+  ASSERT_TRUE(
+      blocked.WriteFrame(MsgType::kUpdateNode, kFlagBeginWrite, body, &scratch));
+  // L1 opens the raw session just before the inline lock wait: once the
+  // gauge moves, the loop is stuck until the lock frees.
+  for (int i = 0; i < 10'000 && open_txns.Value() == open_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(open_txns.Value(), open_before + 1);
+
+  EXPECT_EQ(writer->Commit().status(), Status::kConflict);
+  EXPECT_EQ(harness.client->fence_aborts(), 1u);
+  Frame reply;
+  ASSERT_TRUE(blocked.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);  // not kTimeout
+  // The read session opened before the aborted commit; its first request
+  // consumes the owed begin reply first.
+  StatusOr<std::string> node = reader->GetNode(v);
+  ASSERT_TRUE(node.ok());
+  EXPECT_EQ(*node, "v");
+  EXPECT_EQ(reader->CountLinks(v, 0), 0u);
 }
 
 // Satellite: the reactor exports its event-loop telemetry.

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,8 +19,10 @@
 #include "server/graph_server.h"
 #include "server/loopback.h"
 #include "server/net.h"
+#include "server/protocol.h"
 #include "server/remote_store.h"
 #include "server/wire.h"
+#include "util/metrics.h"
 
 namespace livegraph {
 namespace {
@@ -57,6 +60,37 @@ struct Harness {
   std::unique_ptr<GraphServer> server;
   std::unique_ptr<RemoteStore> client;
 };
+
+// Raw protocol socket after a successful Hello handshake.
+Socket RawHello(uint16_t port) {
+  Socket sock = ConnectTcp("127.0.0.1", port);
+  EXPECT_TRUE(sock.valid());
+  sock.SetRecvTimeout(10'000);
+  std::string body;
+  WireWriter(&body).PutU32(kProtocolVersion);
+  std::string scratch;
+  EXPECT_TRUE(sock.WriteFrame(MsgType::kHello, kFlagNone, body, &scratch));
+  Frame reply;
+  EXPECT_TRUE(sock.ReadFrame(&reply));
+  return sock;
+}
+
+std::string TxnBody(uint64_t txn_id) {
+  std::string body;
+  WireWriter(&body).PutU64(txn_id);
+  return body;
+}
+
+bool Send(Socket& sock, MsgType type, uint8_t flags, std::string_view body) {
+  std::string scratch;
+  return sock.WriteFrame(type, flags, body, &scratch);
+}
+
+Status ReplyStatus(const Frame& frame) {
+  WireReader reader(frame.body);
+  uint8_t wire = 0;
+  return reader.GetU8(&wire) ? StatusFromWire(wire) : Status::kUnavailable;
+}
 
 TEST(RemoteStore, HandshakeReportsEngineNameAndTraits) {
   Harness harness;
@@ -257,13 +291,15 @@ TEST(RemoteStore, DroppedConnectionAbortsOpenTransactions) {
     Frame reply;
     ASSERT_TRUE(call(MsgType::kHello, body, &reply));
 
-    ASSERT_TRUE(call(MsgType::kBeginTxn, "", &reply));
+    constexpr uint64_t txn_id = 1;
+    body.clear();
+    WireWriter(&body).PutU64(txn_id);
+    ASSERT_TRUE(call(MsgType::kBeginTxn, body, &reply));
     WireReader reader(reply.body);
     uint8_t status;
-    uint64_t txn_id;
     ASSERT_TRUE(reader.GetU8(&status));
     ASSERT_EQ(StatusFromWire(status), Status::kOk);
-    ASSERT_TRUE(reader.GetU64(&txn_id));
+    ASSERT_TRUE(reader.Exhausted());
 
     body.clear();
     WireWriter add(&body);
@@ -281,6 +317,189 @@ TEST(RemoteStore, DroppedConnectionAbortsOpenTransactions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(harness.engine->GetLink(id, 0, id).status(), Status::kNotFound);
+}
+
+// --- Protocol v4: lazily opened sessions ---------------------------------
+
+TEST(RemoteStore, DuplicateBeginIdClosesTheConnection) {
+  Harness harness;
+  Socket raw = RawHello(harness.server->port());
+  std::string body = TxnBody(5);
+  WireWriter(&body).PutBytes("node");
+  Frame reply;
+  ASSERT_TRUE(Send(raw, MsgType::kAddNode, kFlagBeginWrite, body));
+  ASSERT_TRUE(raw.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  // Id 5 is open: a second begin under it is a protocol violation.
+  Send(raw, MsgType::kAddNode, kFlagBeginWrite, body);
+  EXPECT_FALSE(raw.ReadFrame(&reply)) << "server should hang up";
+  EXPECT_NE(harness.client->AddNode("still-alive"), kNullVertex);
+}
+
+TEST(RemoteStore, BeginFlagWithoutTxnIdClosesTheConnection) {
+  Harness harness;
+  Frame reply;
+  {
+    Socket raw = ConnectTcp("127.0.0.1", harness.server->port());
+    ASSERT_TRUE(raw.valid());
+    raw.SetRecvTimeout(10'000);
+    std::string hello;
+    WireWriter(&hello).PutU32(kProtocolVersion);
+    Send(raw, MsgType::kHello, kFlagBeginRead, hello);
+    EXPECT_FALSE(raw.ReadFrame(&reply)) << "flagged Hello must close";
+  }
+  {
+    Socket raw = RawHello(harness.server->port());
+    Send(raw, MsgType::kStats, kFlagBeginRead, "");
+    EXPECT_FALSE(raw.ReadFrame(&reply)) << "flagged Stats must close";
+  }
+  EXPECT_NE(harness.client->AddNode("still-alive"), kNullVertex);
+}
+
+TEST(RemoteStore, EndReadIsOneWayEvenForUnknownIds) {
+  Harness harness;
+  Socket raw = RawHello(harness.server->port());
+  ASSERT_TRUE(Send(raw, MsgType::kEndRead, kFlagNone, TxnBody(99)));
+  // The next request is answered, and its reply is the first frame back.
+  ASSERT_TRUE(
+      Send(raw, MsgType::kVertexCount, kFlagBeginRead, TxnBody(1)));
+  Frame reply;
+  ASSERT_TRUE(raw.ReadFrame(&reply));
+  EXPECT_EQ(reply.type, MsgType::kReply);
+  EXPECT_EQ(ReplyStatus(reply), Status::kOk);
+  EXPECT_EQ(reply.body.size(), 1u + 8u);  // status + i64 vertex count
+  // Ending session 1 is silent too; the session is gone afterwards.
+  ASSERT_TRUE(Send(raw, MsgType::kEndRead, kFlagNone, TxnBody(1)));
+  ASSERT_TRUE(Send(raw, MsgType::kVertexCount, kFlagNone, TxnBody(1)));
+  ASSERT_TRUE(raw.ReadFrame(&reply));
+  EXPECT_EQ(ReplyStatus(reply), Status::kNotActive);
+}
+
+TEST(RemoteStore, SessionsThatSendNothingLeaveNoServerState) {
+  Harness harness;
+  metrics::Snapshot before, after;
+  ASSERT_TRUE(harness.client->Stats(&before));
+  {
+    auto read = harness.client->BeginReadTxn();
+    auto write = harness.client->BeginTxn();
+    auto pipeline = harness.client->NewPipeline();
+    EXPECT_TRUE(pipeline->ok());
+  }
+  ASSERT_TRUE(harness.client->Stats(&after));
+  EXPECT_EQ(after.gauge("livegraph_server_open_txns"), 0);
+  EXPECT_EQ(after.gauge("livegraph_epoch_read_pins"), 0);
+  for (const char* kind : {"read", "write"}) {
+    std::string name = std::string("livegraph_server_sessions_opened_total"
+                                   "{kind=\"") + kind + "\"}";
+    EXPECT_EQ(after.counter(name), before.counter(name)) << kind;
+  }
+}
+
+// --- The commit fence ------------------------------------------------------
+
+TEST(RemoteStore, FenceKeepsLaterCommitsOutOfAnUnsentWriteSession) {
+  Harness harness;
+  vertex_t a = harness.client->AddNode("a");
+  vertex_t b = harness.client->AddNode("b");
+  ASSERT_TRUE(harness.client->AddLink(a, 0, b, "old").ok());
+  auto txn = harness.client->BeginTxn();
+  const uint64_t fenced = harness.client->fenced_begins();
+  // Store-level commits on other connections while `txn` has sent nothing:
+  // the first one's fence opens `txn` on the server, as embedded
+  // LiveGraph's BeginTxn would have.
+  ASSERT_TRUE(harness.client->AddLink(a, 0, a, "new-edge").ok());
+  ASSERT_EQ(harness.client->UpdateNode(a, "a2"), Status::kOk);
+  EXPECT_EQ(harness.client->fenced_begins(), fenced + 1);
+  EXPECT_EQ(*txn->GetNode(a), "a");
+  EXPECT_EQ(txn->CountLinks(a, 0), 1u);
+  EXPECT_EQ(txn->GetLink(a, 0, a).status(), Status::kNotFound);
+  txn->Abort();
+  auto fresh = harness.client->BeginReadTxn();
+  EXPECT_EQ(*fresh->GetNode(a), "a2");
+  EXPECT_EQ(fresh->CountLinks(a, 0), 2u);
+}
+
+TEST(RemoteStore, FenceKeepsLaterCommitsOutOfAFirstScan) {
+  Harness harness(/*scan_batch_edges=*/2);  // several frames in flight
+  vertex_t hub = harness.client->AddNode("hub");
+  for (int i = 0; i < 9; ++i) {
+    vertex_t leaf = harness.client->AddNode("leaf");
+    ASSERT_TRUE(harness.client->AddLink(hub, 0, leaf, "old").ok());
+  }
+  auto read = harness.client->BeginReadTxn();
+  EdgeCursor cursor = read->ScanLinks(hub, 0);  // the session's first request
+  ASSERT_TRUE(cursor.Valid());
+  ASSERT_TRUE(harness.client->AddLink(hub, 0, hub, "new").ok());
+  size_t seen = 0;
+  for (; cursor.Valid(); cursor.Next()) {
+    EXPECT_EQ(cursor.properties(), "old");
+    ++seen;
+  }
+  EXPECT_EQ(seen, 9u);
+  EXPECT_EQ(read->CountLinks(hub, 0), 9u);
+}
+
+// Four clients run a DFLT-like mix (reads, scans, and contended writes on
+// a few hot vertices) through one RemoteStore, some sessions pausing before
+// their first request so commit fences find them unsent. The fence never
+// waits on another session's request, so no write rides to the engine's
+// lock timeout, nothing hangs, and every read session stays a snapshot.
+TEST(RemoteStore, FencedCommitsUnderConcurrentMixNeverTimeOut) {
+  Harness harness;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 300;
+  constexpr int kVertices = 32;
+  std::vector<vertex_t> ids;
+  for (int i = 0; i < kVertices; ++i) {
+    ids.push_back(harness.client->AddNode("v"));
+  }
+  std::atomic<int> timeouts{0}, unavailable{0}, torn{0};
+  auto note = [&](Status status) {
+    if (status == Status::kTimeout) timeouts.fetch_add(1);
+    if (status == Status::kUnavailable) unavailable.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t) + 1);
+      auto pick = [&] {
+        // Half the picks land on 4 hot vertices: lock contention.
+        return ids[rng() % 2 == 0 ? rng() % 4 : rng() % kVertices];
+      };
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const uint32_t dice = rng() % 100;
+        const bool pause = rng() % 4 == 0;
+        if (dice < 30) {
+          const vertex_t src = pick();
+          const vertex_t dst = pick();
+          note(RunWrite(*harness.client, [&](StoreTxn& txn) -> Status {
+            if (pause) std::this_thread::yield();
+            if (dice < 20) return txn.AddLink(src, 0, dst, "e").status();
+            return txn.UpdateNode(src, "u");
+          }));
+          continue;
+        }
+        auto read = harness.client->BeginReadTxn();
+        if (pause) std::this_thread::yield();
+        const vertex_t v = pick();
+        if (dice < 60) {
+          note(read->GetNode(v).status());
+        } else {
+          const size_t count = read->CountLinks(v, 0);
+          size_t scanned = 0;
+          for (EdgeCursor c = read->ScanLinks(v, 0); c.Valid(); c.Next()) {
+            ++scanned;
+          }
+          if (scanned != count) torn.fetch_add(1);
+        }
+        note(read->SessionStatus());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(unavailable.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
 }
 
 TEST(RemoteStore, ConcurrentClientsCommitIndependently) {
